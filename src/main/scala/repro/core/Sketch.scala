@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.HashPartitioner
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 
@@ -17,13 +18,33 @@ final case class PairBw(i: Int, j: Int, bw: Int,
 /** One series' full raw values over the query range — naive baseline input. */
 final case class SeriesArr(sid: Int, vals: Array[Double])
 
+/** One series' raw values with its basic-window means and centered sums of
+  * squares, as sent to each block pair of the tiled sketch build.
+  */
+private[core] final case class SeriesTile(sid: Int, vals: Array[Double], mean: Array[Double], m2: Array[Double])
+
 /** The basic-window sketch substrate, shared by Dangoron and TSUBASA.
   *
   * Input contract throughout: a long-format DataFrame with columns
-  * ``sid`` (int), ``t`` (long, dense time steps), ``v`` (double). Sketch
-  * construction is pure DataFrame/Dataset work: one shuffle to segment the
-  * series into basic windows, one join on the basic-window id to form all
-  * N(N−1)/2 pair statistics, one shuffle to assemble per-pair arrays.
+  * ``sid`` (int), ``t`` (long, dense time steps), ``v`` (double).
+  *
+  * [[build]] tiles the pair space (ParCorr's grid partitioning, Yagoubi et
+  * al., DAMI '18). One shuffle of rows makes a dense array per series
+  * ([[seriesArrays]]); each series' basic-window means and M2 are computed
+  * once. The series are cut into ``nb`` blocks by ``floorMod(sid, nb)``,
+  * and each series is sent to the ``nb`` block pairs (I ≤ J) it belongs to,
+  * one output partition per block pair. One task per block pair holds its
+  * two blocks and computes the cross products in a tight loop. That second
+  * shuffle moves N·L·nb doubles, and a task holds two blocks,
+  * O((N/nb)·L) values. No per-pair state is shuffled: the tile task's
+  * output feeds the next narrow operation, such as the sweep, in the same
+  * stage.
+  *
+  * [[segments]], [[pairStats]] and [[pairSketches]] are the reference path:
+  * one shuffle to segment the series into basic windows, a self-join on the
+  * basic-window id to form all N(N−1)/2 × nBw pair statistics, and one
+  * shuffle to assemble per-pair arrays. It sums in the same order as
+  * [[build]], so the two give bit-identical sketches.
   */
 object Sketch {
 
@@ -103,9 +124,79 @@ object Sketch {
       }
   }
 
-  /** Build pair sketches straight from raw values. */
+  /** Build pair sketches straight from raw values, one task per block pair;
+    * see the object's description. The number of blocks follows the
+    * cluster's parallelism ([[numBlocks]]). With adaptive query execution
+    * on, the shuffle of rows runs when this is called, because Spark runs a
+    * Dataset's shuffle stages when it turns the Dataset into an RDD.
+    */
   def build(values: DataFrame, q: SlidingQuery): Dataset[PairSketch] =
-    pairSketches(pairStats(segments(values, q)), q)
+    tiled(values, q, numBlocks(values.sparkSession.sparkContext.defaultParallelism))
+
+  /** The smallest number of series blocks ``nb`` whose nb(nb+1)/2 block
+    * pairs give every core at least two tile tasks.
+    */
+  def numBlocks(parallelism: Int): Int = {
+    var nb = 1
+    while (nb * (nb + 1) / 2 < 2 * parallelism) nb += 1
+    nb
+  }
+
+  /** The block pairs (I ≤ J) of ``nb`` blocks; a block pair's position here
+    * is its output partition.
+    */
+  def blockPairs(nb: Int): IndexedSeq[(Int, Int)] =
+    for (bi <- 0 until nb; bj <- bi until nb) yield (bi, bj)
+
+  /** [[build]] with ``nb`` series blocks. */
+  private[core] def tiled(values: DataFrame, q: SlidingQuery, nb: Int): Dataset[PairSketch] = {
+    val spark = values.sparkSession
+    import spark.implicits._
+    val b = q.bwSize; val nBw = q.nBw
+    val pairs = blockPairs(nb)
+    val index = pairs.zipWithIndex.toMap
+    val tiles = seriesArrays(values, q).rdd
+      .flatMap { sa =>
+        val mean = new Array[Double](nBw); val m2 = new Array[Double](nBw)
+        var w = 0
+        while (w < nBw) {
+          val (mu, ss) = meanM2(sa.vals, w * b, (w + 1) * b)
+          mean(w) = mu; m2(w) = ss; w += 1
+        }
+        val st = SeriesTile(sa.sid, sa.vals, mean, m2)
+        val bi = Math.floorMod(sa.sid, nb)
+        (0 until nb).map(bj => (index((math.min(bi, bj), math.max(bi, bj))), st))
+      }
+      // Int keys 0 until nb(nb+1)/2 hash to themselves: one block pair per partition.
+      .partitionBy(new HashPartitioner(pairs.length))
+      .mapPartitionsWithIndex { (p, rows) =>
+        val (bi, bj) = pairs(p)
+        val series = rows.map(_._2).toArray
+        val xs = series.filter(s => Math.floorMod(s.sid, nb) == bi)
+        val ys = if (bi == bj) xs else series.filter(s => Math.floorMod(s.sid, nb) == bj)
+        for (x <- xs.iterator; y <- ys.iterator if bi != bj || x.sid < y.sid)
+          yield if (x.sid < y.sid) pairSketch(x, y, b) else pairSketch(y, x, b)
+      }
+    spark.createDataset(tiles)
+  }
+
+  /** The sketch of pair (x, y), x.sid < y.sid: the cross products summed
+    * in the order [[pairStats]] uses.
+    */
+  private def pairSketch(x: SeriesTile, y: SeriesTile, b: Int): PairSketch = {
+    val nBw = x.mean.length
+    val cp = new Array[Double](nBw)
+    var w = 0
+    while (w < nBw) {
+      val mx = x.mean(w); val my = y.mean(w)
+      var cpv = 0.0
+      var u = w * b
+      val end = u + b
+      while (u < end) { cpv += (x.vals(u) - mx) * (y.vals(u) - my); u += 1 }
+      cp(w) = cpv; w += 1
+    }
+    PairSketch(x.sid, y.sid, x.mean, x.m2, y.mean, y.m2, cp)
+  }
 
   /** Full raw series arrays over the query range (naive baseline, ParCorr). */
   def seriesArrays(values: DataFrame, q: SlidingQuery): Dataset[SeriesArr] = {
@@ -119,9 +210,14 @@ object Sketch {
       .groupByKey(_._1)
       .mapGroups { (sid, rows) =>
         val arr = new Array[Double](len)
-        var seen = 0
-        rows.foreach { case (_, t, v) => arr((t - start).toInt) = v; seen += 1 }
-        require(seen == len, s"series $sid has $seen of $len points — input not dense")
+        val filled = new java.util.BitSet(len)
+        rows.foreach { case (_, t, v) =>
+          val k = (t - start).toInt
+          require(!filled.get(k), s"series $sid has more than one value at t=$t — input not dense")
+          filled.set(k); arr(k) = v
+        }
+        val gap = filled.nextClearBit(0)
+        require(gap >= len, s"series $sid has no value at t=${start + gap} — input not dense")
         SeriesArr(sid, arr)
       }
   }
@@ -138,14 +234,17 @@ object Sketch {
   }
 
   /** Mean and centered sum of squares in one pass. */
-  def meanM2(vals: Array[Double]): (Double, Double) = {
+  def meanM2(vals: Array[Double]): (Double, Double) = meanM2(vals, 0, vals.length)
+
+  /** Mean and centered sum of squares of ``vals(from until until)``. */
+  def meanM2(vals: Array[Double], from: Int, until: Int): (Double, Double) = {
     var s = 0.0
-    var u = 0
-    while (u < vals.length) { s += vals(u); u += 1 }
-    val mean = s / vals.length
+    var u = from
+    while (u < until) { s += vals(u); u += 1 }
+    val mean = s / (until - from)
     var m2 = 0.0
-    u = 0
-    while (u < vals.length) { val d = vals(u) - mean; m2 += d * d; u += 1 }
+    u = from
+    while (u < until) { val d = vals(u) - mean; m2 += d * d; u += 1 }
     (mean, m2)
   }
 }

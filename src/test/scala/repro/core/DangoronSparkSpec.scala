@@ -37,6 +37,19 @@ class DangoronSparkSpec extends SparkSpec {
     }
   }
 
+  test("Dangoron.run gives the same edges and RunStats as the reference-path sketch") {
+    for (beta <- Seq(-1.0, 0.4, 0.7, 0.9)) {
+      val query = q(beta)
+      val (edges, stats) = Dangoron.run(values, query)
+      val got = edges.collect().sortBy(e => (e.i, e.j, e.w)).toSeq
+      val reference = Sketch.pairSketches(Sketch.pairStats(Sketch.segments(values, query)), query)
+      val (refEdges, refStats) = Dangoron.edges(reference, query)
+      val expect = refEdges.collect().sortBy(e => (e.i, e.j, e.w)).toSeq
+      assert(got === expect, s"beta=$beta")
+      assert(stats() === refStats(), s"beta=$beta")
+    }
+  }
+
   test("accumulators: computed + skipped = pairs × windows") {
     val query = q(0.7)
     val (edges, stats) = Dangoron.run(values, query)

@@ -1,6 +1,9 @@
 package repro.core
 
+import org.apache.spark.sql.{DataFrame, Dataset}
 import repro.{SparkSpec, SparkTestData, Oracle}
+import repro.naive.NaiveCorr
+import repro.parcorr.ParCorr
 
 class SketchSpec extends SparkSpec {
   import TestSeries._
@@ -10,6 +13,32 @@ class SketchSpec extends SparkSpec {
   private lazy val matrix = SparkTestData.panel(51L, n, len)
   private lazy val values = SparkTestData.toValuesDf(spark, matrix)
   private lazy val q = SlidingQuery(0L, len.toLong, windowLen = 32, step = 8, beta = 0.5, bwSize = 8)
+
+  /** Long-format rows of series keyed by their sids. */
+  private def valuesOf(bySid: Map[Int, Array[Double]]): DataFrame = {
+    import spark.implicits._
+    bySid.toSeq.flatMap { case (sid, xs) => xs.indices.map(t => (sid, t.toLong, xs(t))) }.toDF("sid", "t", "v")
+  }
+
+  /** The sketch through the segment / self-join / regroup stages. */
+  private def referenceSketches(v: DataFrame, query: SlidingQuery): Dataset[PairSketch] =
+    Sketch.pairSketches(Sketch.pairStats(Sketch.segments(v, query)), query)
+
+  private def panelOf(seed: Long, sids: Seq[Int], length: Int): Map[Int, Array[Double]] =
+    sids.map(sid => sid -> series(seed, sid, length)).toMap
+
+  /** Inputs for the tiled build: (what it covers, series by sid, query). */
+  private lazy val buildCases: Seq[(String, Map[Int, Array[Double]], SlidingQuery)] = {
+    val q64 = SlidingQuery(0L, 64L, 32, 16, 0.0, 16)
+    Seq(
+      ("N=1, no pairs", panelOf(98L, Seq(0), 64), q64),
+      ("N=2", panelOf(99L, Seq(0, 1), 64), q64),
+      ("N=5, empty blocks", matrix.indices.map(sid => sid -> matrix(sid)).toMap, q),
+      ("N=13, uneven blocks", panelOf(71L, 0 until 13, len), q),
+      ("non-zero query start", matrix.indices.map(sid => sid -> matrix(sid)).toMap,
+        SlidingQuery(16L, 80L, windowLen = 32, step = 8, beta = 0.5, bwSize = 8)),
+      ("non-contiguous sids", panelOf(72L, Seq(3, 17, 42, 1001), len), q))
+  }
 
   test("segments: one per (sid, bw), values in time order") {
     val segs = Sketch.segments(values, q).collect()
@@ -88,6 +117,66 @@ class SketchSpec extends SparkSpec {
         assert(math.abs(sk.cp(t) - local.cp(t)) < 1e-9)
       }
     }
+    // The tiled build, at the cluster's block count and at a few others,
+    // equals the reference path bit for bit on every array of every pair.
+    def arrays(sk: PairSketch) = Seq(sk.meanX, sk.m2x, sk.meanY, sk.m2y, sk.cp)
+    buildCases.foreach { case (name, bySid, query) =>
+      val v = valuesOf(bySid)
+      val nPairs = bySid.size * (bySid.size - 1) / 2
+      val ref = referenceSketches(v, query).collect().map(sk => (sk.i, sk.j) -> sk).toMap
+      assert(ref.size === nPairs, name)
+      val builds = ("cluster blocks" -> Sketch.build(v, query)) +:
+        Seq(1, 3, 7).map(nb => s"nb=$nb" -> Sketch.tiled(v, query, nb))
+      builds.foreach { case (how, ds) =>
+        val sks = ds.collect()
+        assert(sks.length === nPairs, s"$name, $how")
+        sks.foreach { sk =>
+          val r = ref((sk.i, sk.j))
+          arrays(sk).zip(arrays(r)).foreach { case (got, want) =>
+            assert(java.util.Arrays.equals(got, want), s"$name, $how: pair (${sk.i},${sk.j})")
+          }
+          val from = query.start.toInt; val until = query.end.toInt
+          val local = sketchOf(bySid(sk.i).slice(from, until), bySid(sk.j).slice(from, until),
+            query.bwSize, sk.i, sk.j)
+          arrays(sk).zip(arrays(local)).foreach { case (got, want) =>
+            got.indices.foreach(t => assert(math.abs(got(t) - want(t)) < 1e-9, s"$name, $how"))
+          }
+        }
+      }
+    }
+  }
+
+  test("tiled build: block rule, every pair once, one partition per non-empty block pair") {
+    assert(Seq(1, 2, 3, 4, 8, 16, 64).map(Sketch.numBlocks) === Seq(2, 3, 3, 4, 6, 8, 16))
+    (1 to 200).foreach { p =>
+      val nb = Sketch.numBlocks(p)
+      assert(nb * (nb + 1) / 2 >= 2 * p && (nb - 1) * nb / 2 < 2 * p, s"parallelism $p")
+    }
+    val clusterNb = Sketch.numBlocks(spark.sparkContext.defaultParallelism)
+    for {
+      (name, bySid, query) <- buildCases
+      nb <- Seq(clusterNb, 3, 7)
+    } {
+      val v = valuesOf(bySid)
+      val ds = if (nb == clusterNb) Sketch.build(v, query) else Sketch.tiled(v, query, nb)
+      val parts = ds.rdd.mapPartitions(it => Iterator(it.map(sk => (sk.i, sk.j)).toVector)).collect()
+      val blockPairs = Sketch.blockPairs(nb)
+      assert(parts.length === blockPairs.length, s"$name, nb=$nb")
+      val sids = bySid.keys.toSeq.sorted
+      val allPairs = for (a <- sids; b <- sids if a < b) yield (a, b)
+      assert(parts.flatten.sorted.toSeq === allPairs, s"$name, nb=$nb")
+      def block(sid: Int) = Math.floorMod(sid, nb)
+      parts.zip(blockPairs).foreach { case (pairs, (bi, bj)) =>
+        pairs.foreach { case (i, j) =>
+          assert(Set(block(i), block(j)) === Set(bi, bj), s"$name, nb=$nb: ($i,$j) in block pair ($bi,$bj)")
+        }
+      }
+      val size = sids.groupBy(block).view.mapValues(_.length).toMap.withDefaultValue(0)
+      val nonEmpty = blockPairs.count { case (bi, bj) =>
+        if (bi == bj) size(bi) >= 2 else size(bi) > 0 && size(bj) > 0
+      }
+      assert(parts.count(_.nonEmpty) === nonEmpty, s"$name, nb=$nb")
+    }
   }
 
   test("sketch windowCorr equals direct Pearson on the distributed sketch") {
@@ -122,6 +211,22 @@ class SketchSpec extends SparkSpec {
       Sketch.build(sparse, q).collect()
     }
     assert(ex.getMessage != null)
+  }
+
+  test("seriesArrays consumers reject a repeated or missing t, naming sid and t") {
+    // sid 0 loses t=13 and repeats t=14, so its basic window 8..15 still holds 8 rows.
+    val repeated = values.where("NOT (sid = 0 AND t = 13)").union(values.where("sid = 0 AND t = 14"))
+    val missing = values.where("NOT (sid = 2 AND t = 40)")
+    val consumers: Seq[(String, DataFrame => Unit)] = Seq(
+      "Sketch.build" -> (v => Sketch.build(v, q).collect()),
+      "NaiveCorr.edges" -> (v => NaiveCorr.edges(v, q).collect()),
+      "ParCorr.run" -> (v => ParCorr.run(v, q).collect()))
+    consumers.foreach { case (name, consume) =>
+      val dup = intercept[Exception](consume(repeated))
+      assert(dup.getMessage.contains("series 0 has more than one value at t=14"), s"$name: ${dup.getMessage}")
+      val gap = intercept[Exception](consume(missing))
+      assert(gap.getMessage.contains("series 2 has no value at t=40"), s"$name: ${gap.getMessage}")
+    }
   }
 
   test("sketch build handles a single pair (n=2)") {
