@@ -1,7 +1,10 @@
 package repro.core
 
+import scala.collection.mutable
+
 import org.apache.spark.HashPartitioner
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
 
 /** One series' values within one basic window (sorted by time). */
@@ -18,8 +21,14 @@ final case class PairBw(i: Int, j: Int, bw: Int,
 /** One series' full raw values over the query range — naive baseline input. */
 final case class SeriesArr(sid: Int, vals: Array[Double])
 
+/** One input partition's rows of one series: each value's offset from the
+  * query start, in the order the rows arrived. Every input partition sends
+  * one chunk per series it holds.
+  */
+private[core] final case class SeriesChunk(sid: Int, offsets: Array[Int], values: Array[Double])
+
 /** One series' raw values with its basic-window means and centered sums of
-  * squares, as sent to each block pair of the tiled sketch build.
+  * squares, as held by a block-pair task of the tiled sketch build.
   */
 private[core] final case class SeriesTile(sid: Int, vals: Array[Double], mean: Array[Double], m2: Array[Double])
 
@@ -29,16 +38,20 @@ private[core] final case class SeriesTile(sid: Int, vals: Array[Double], mean: A
   * ``sid`` (int), ``t`` (long, dense time steps), ``v`` (double).
   *
   * [[build]] tiles the pair space (ParCorr's grid partitioning, Yagoubi et
-  * al., DAMI '18). One shuffle of rows makes a dense array per series
-  * ([[seriesArrays]]); each series' basic-window means and M2 are computed
-  * once. The series are cut into ``nb`` blocks by ``floorMod(sid, nb)``,
-  * and each series is sent to the ``nb`` block pairs (I ≤ J) it belongs to,
-  * one output partition per block pair. One task per block pair holds its
-  * two blocks and computes the cross products in a tight loop. That second
-  * shuffle moves N·L·nb doubles, and a task holds two blocks,
-  * O((N/nb)·L) values. No per-pair state is shuffled: the tile task's
-  * output feeds the next narrow operation, such as the sweep, in the same
-  * stage.
+  * al., DAMI '18) with one shuffle from rows to pairs. Each input
+  * partition groups its own rows by sid into one [[SeriesChunk]] per
+  * series; rows are never shuffled one by one. The series are cut into
+  * ``nb`` blocks by ``floorMod(sid, nb)``, and each chunk is sent to the
+  * ``nb`` block pairs (I ≤ J) of its series, one output partition per
+  * block pair. That shuffle moves N·L·nb values plus their Int offsets.
+  * One task per block pair scatters its chunks into a dense array per
+  * series, checks that each series has exactly one value at every t,
+  * computes each series' basic-window means and M2, and computes the
+  * cross products in a tight loop. A task holds two blocks, O((N/nb)·L)
+  * values. No per-pair state is shuffled: [[tilePairs]] hands each pair to
+  * the next narrow operation, such as the sweep of [[Dangoron.run]], in
+  * the same task. [[seriesArrays]] assembles series from the same chunks
+  * with the same density check.
   *
   * [[segments]], [[pairStats]] and [[pairSketches]] are the reference path:
   * one shuffle to segment the series into basic windows, a self-join on the
@@ -126,12 +139,19 @@ object Sketch {
 
   /** Build pair sketches straight from raw values, one task per block pair;
     * see the object's description. The number of blocks follows the
-    * cluster's parallelism ([[numBlocks]]). With adaptive query execution
-    * on, the shuffle of rows runs when this is called, because Spark runs a
-    * Dataset's shuffle stages when it turns the Dataset into an RDD.
+    * cluster's parallelism ([[numBlocks]]). If the input's own plan has a
+    * shuffle and adaptive query execution is on, Spark runs that shuffle
+    * when this is called.
     */
   def build(values: DataFrame, q: SlidingQuery): Dataset[PairSketch] =
     tiled(values, q, numBlocks(values.sparkSession.sparkContext.defaultParallelism))
+
+  /** The pair sketches of [[build]], each created inside its block-pair task.
+    * A narrow operation on the result runs in that task, so the pair
+    * sketches are neither encoded nor stored.
+    */
+  private[repro] def tilePairs(values: DataFrame, q: SlidingQuery): RDD[PairSketch] =
+    tilePairs(values, q, numBlocks(values.sparkSession.sparkContext.defaultParallelism))
 
   /** The smallest number of series blocks ``nb`` whose nb(nb+1)/2 block
     * pairs give every core at least two tile tasks.
@@ -152,32 +172,37 @@ object Sketch {
   private[core] def tiled(values: DataFrame, q: SlidingQuery, nb: Int): Dataset[PairSketch] = {
     val spark = values.sparkSession
     import spark.implicits._
+    spark.createDataset(tilePairs(values, q, nb))
+  }
+
+  /** [[tilePairs]] with ``nb`` series blocks. */
+  private def tilePairs(values: DataFrame, q: SlidingQuery, nb: Int): RDD[PairSketch] = {
     val b = q.bwSize; val nBw = q.nBw
     val pairs = blockPairs(nb)
     val index = pairs.zipWithIndex.toMap
-    val tiles = seriesArrays(values, q).rdd
-      .flatMap { sa =>
-        val mean = new Array[Double](nBw); val m2 = new Array[Double](nBw)
-        var w = 0
-        while (w < nBw) {
-          val (mu, ss) = meanM2(sa.vals, w * b, (w + 1) * b)
-          mean(w) = mu; m2(w) = ss; w += 1
-        }
-        val st = SeriesTile(sa.sid, sa.vals, mean, m2)
-        val bi = Math.floorMod(sa.sid, nb)
-        (0 until nb).map(bj => (index((math.min(bi, bj), math.max(bi, bj))), st))
+    chunks(values, q)
+      .flatMap { c =>
+        val bi = Math.floorMod(c.sid, nb)
+        (0 until nb).map(bj => (index((math.min(bi, bj), math.max(bi, bj))), c))
       }
       // Int keys 0 until nb(nb+1)/2 hash to themselves: one block pair per partition.
       .partitionBy(new HashPartitioner(pairs.length))
       .mapPartitionsWithIndex { (p, rows) =>
         val (bi, bj) = pairs(p)
-        val series = rows.map(_._2).toArray
+        val series = assemble(rows.map(_._2), q).map { sa =>
+          val mean = new Array[Double](nBw); val m2 = new Array[Double](nBw)
+          var w = 0
+          while (w < nBw) {
+            val (mu, ss) = meanM2(sa.vals, w * b, (w + 1) * b)
+            mean(w) = mu; m2(w) = ss; w += 1
+          }
+          SeriesTile(sa.sid, sa.vals, mean, m2)
+        }
         val xs = series.filter(s => Math.floorMod(s.sid, nb) == bi)
         val ys = if (bi == bj) xs else series.filter(s => Math.floorMod(s.sid, nb) == bj)
         for (x <- xs.iterator; y <- ys.iterator if bi != bj || x.sid < y.sid)
           yield if (x.sid < y.sid) pairSketch(x, y, b) else pairSketch(y, x, b)
       }
-    spark.createDataset(tiles)
   }
 
   /** The sketch of pair (x, y), x.sid < y.sid: the cross products summed
@@ -198,28 +223,68 @@ object Sketch {
     PairSketch(x.sid, y.sid, x.mean, x.m2, y.mean, y.m2, cp)
   }
 
-  /** Full raw series arrays over the query range (naive baseline, ParCorr). */
+  /** Full raw series arrays over the query range (naive baseline, ParCorr),
+    * assembled from the chunks of [[build]] after one shuffle by sid.
+    */
   def seriesArrays(values: DataFrame, q: SlidingQuery): Dataset[SeriesArr] = {
     val spark = values.sparkSession
     import spark.implicits._
-    val start = q.start; val end = q.end; val len = (end - start).toInt
+    val arrs = chunks(values, q)
+      .keyBy(_.sid)
+      .partitionBy(new HashPartitioner(spark.sparkContext.defaultParallelism))
+      .mapPartitions(rows => assemble(rows.map(_._2), q).iterator)
+    spark.createDataset(arrs)
+  }
+
+  /** Each input partition's rows in the query range, one [[SeriesChunk]]
+    * per series. Rows of one series mostly arrive together, so the last
+    * series' builder is looked up once per run of rows rather than per row.
+    */
+  private def chunks(values: DataFrame, q: SlidingQuery): RDD[SeriesChunk] = {
+    val start = q.start
     values
       .select(col("sid").cast("int"), col("t").cast("long"), col("v").cast("double"))
-      .where(col("t") >= start && col("t") < end)
-      .as[(Int, Long, Double)]
-      .groupByKey(_._1)
-      .mapGroups { (sid, rows) =>
-        val arr = new Array[Double](len)
-        val filled = new java.util.BitSet(len)
-        rows.foreach { case (_, t, v) =>
-          val k = (t - start).toInt
-          require(!filled.get(k), s"series $sid has more than one value at t=$t — input not dense")
-          filled.set(k); arr(k) = v
+      .where(col("t") >= start && col("t") < q.end)
+      .queryExecution.toRdd
+      .mapPartitions { rows =>
+        val bySid = mutable.LinkedHashMap.empty[Int, (mutable.ArrayBuilder.ofInt, mutable.ArrayBuilder.ofDouble)]
+        var lastSid = 0
+        var last: (mutable.ArrayBuilder.ofInt, mutable.ArrayBuilder.ofDouble) = null
+        rows.foreach { r =>
+          require(!r.anyNull, "input row has a null sid, t or v")
+          val sid = r.getInt(0)
+          if (last == null || sid != lastSid) {
+            last = bySid.getOrElseUpdate(sid, (new mutable.ArrayBuilder.ofInt, new mutable.ArrayBuilder.ofDouble))
+            lastSid = sid
+          }
+          last._1 += (r.getLong(1) - start).toInt
+          last._2 += r.getDouble(2)
         }
-        val gap = filled.nextClearBit(0)
-        require(gap >= len, s"series $sid has no value at t=${start + gap} — input not dense")
-        SeriesArr(sid, arr)
+        bySid.iterator.map { case (sid, (offsets, vals)) => SeriesChunk(sid, offsets.result(), vals.result()) }
       }
+  }
+
+  /** Scatter chunks into one dense array per series over the query range,
+    * in the order the series first appear. Fails, naming the sid and the
+    * t, if a series has more than one value or no value at some t.
+    */
+  private def assemble(chunks: Iterator[SeriesChunk], q: SlidingQuery): Vector[SeriesArr] = {
+    val start = q.start; val len = (q.end - start).toInt
+    val series = mutable.LinkedHashMap.empty[Int, (Array[Double], Array[Boolean])]
+    chunks.foreach { c =>
+      val (arr, filled) = series.getOrElseUpdate(c.sid, (new Array[Double](len), new Array[Boolean](len)))
+      var k = 0
+      while (k < c.offsets.length) {
+        val off = c.offsets(k)
+        require(!filled(off), s"series ${c.sid} has more than one value at t=${start + off} — input not dense")
+        filled(off) = true; arr(off) = c.values(k); k += 1
+      }
+    }
+    series.iterator.map { case (sid, (arr, filled)) =>
+      val gap = filled.indexOf(false)
+      require(gap < 0, s"series $sid has no value at t=${start + gap} — input not dense")
+      SeriesArr(sid, arr)
+    }.toVector
   }
 
   /** All ordered pairs (i < j) of full raw series. */

@@ -70,10 +70,15 @@ object StreamingCorrelation {
       else math.min(q.numWindows, ((avail - q.windowLen) / q.step + 1).toInt)
     }
 
-    /** Ingest one micro-batch of rows ``(sid, t, v)`` (t dense per series)
-      * and return edges newly emitted because of it.
+    /** Ingest one micro-batch of rows ``(sid, t, v)`` (t dense per series,
+      * sid in ``0 until nSeries``) and return edges newly emitted because
+      * of it. A batch with a sid out of range is rejected before any of it
+      * is buffered.
       */
     def ingest(batch: Array[(Int, Long, Double)]): Vector[Edge] = {
+      batch.foreach { case (sid, _, _) =>
+        require(sid >= 0 && sid < nSeries, s"sid=$sid is outside 0 until nSeries=$nSeries")
+      }
       batch.sortBy(r => (r._1, r._2)).foreach { case (sid, t, v) =>
         val buf = buffer(sid)
         require(t == buf.length, s"non-dense stream for sid=$sid: got t=$t, expected ${buf.length}")

@@ -1,6 +1,6 @@
 package repro.tsubasa
 
-import org.apache.spark.sql.{DataFrame, Dataset}
+import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import repro.core._
 
 /** TSUBASA baseline (Xu, Liu, Nargesian, SIGMOD '22), reimplemented from
@@ -16,22 +16,40 @@ import repro.core._
   */
 object Tsubasa {
 
-  /** Sliding query: every window evaluated, entries < β dropped. */
+  /** Sliding query over cached pair sketches: every window evaluated,
+    * entries < β dropped.
+    */
   def edges(sketches: Dataset[PairSketch], q: SlidingQuery): (Dataset[Edge], () => RunStats) = {
     val spark = sketches.sparkSession
     import spark.implicits._
+    val (sweep, stats) = sweeper(spark, q)
+    (sketches.flatMap(sweep), stats)
+  }
+
+  /** Raw values → edges in one job, each pair swept inside the block-pair
+    * task that computes its sketch ([[repro.core.Sketch.tilePairs]]). Same
+    * edges and [[repro.core.RunStats]] as [[edges]] over
+    * [[repro.core.Sketch.build]].
+    */
+  def run(values: DataFrame, q: SlidingQuery): (Dataset[Edge], () => RunStats) = {
+    val spark = values.sparkSession
+    import spark.implicits._
+    val (sweep, stats) = sweeper(spark, q)
+    (spark.createDataset(Sketch.tilePairs(values, q).flatMap(sweep)), stats)
+  }
+
+  /** The per-pair sweep, counting windows in a fresh accumulator, and the
+    * stats thunk that reads it.
+    */
+  private def sweeper(spark: SparkSession, q: SlidingQuery): (PairSketch => Vector[Edge], () => RunStats) = {
     val computed = spark.sparkContext.longAccumulator("tsubasa.computedWindows")
-    val ds = sketches.flatMap { sk =>
+    val sweep = (sk: PairSketch) => {
       val r = Sweep.tsubasa(sk, q)
       computed.add(r.computed)
       r.edges.map { case (w, c) => Edge(sk.i, sk.j, w, c) }
     }
-    (ds, () => RunStats(computed.value, 0L))
+    (sweep, () => RunStats(computed.value, 0L))
   }
-
-  /** Convenience: raw values → sketches → edges. */
-  def run(values: DataFrame, q: SlidingQuery): (Dataset[Edge], () => RunStats) =
-    edges(Sketch.build(values, q), q)
 
   /** TSUBASA's headline capability: an ad-hoc window query — the exact
     * correlation of every pair over basic windows [fromBw, fromBw + nBws).

@@ -15,6 +15,12 @@ object SparkTestData {
     rows.toDF("sid", "t", "v")
   }
 
+  /** Long-format rows of series keyed by their sids. */
+  def toValuesDf(spark: SparkSession, bySid: Map[Int, Array[Double]]): DataFrame = {
+    import spark.implicits._
+    bySid.toSeq.flatMap { case (sid, xs) => xs.indices.map(t => (sid, t.toLong, xs(t))) }.toDF("sid", "t", "v")
+  }
+
   /** Small deterministic panel: first half of the series share one
     * sinusoid phase (a strongly correlated cluster, corr ≈ 0.9), second
     * half are independent pure noise (corr ≈ 0).

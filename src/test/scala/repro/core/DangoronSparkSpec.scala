@@ -1,7 +1,9 @@
 package repro.core
 
+import org.apache.spark.sql.{DataFrame, Dataset}
 import repro.{SparkSpec, SparkTestData}
 import repro.naive.NaiveCorr
+import repro.tsubasa.Tsubasa
 
 class DangoronSparkSpec extends SparkSpec {
 
@@ -38,16 +40,41 @@ class DangoronSparkSpec extends SparkSpec {
   }
 
   test("Dangoron.run gives the same edges and RunStats as the reference-path sketch") {
-    for (beta <- Seq(-1.0, 0.4, 0.7, 0.9)) {
-      val query = q(beta)
-      val (edges, stats) = Dangoron.run(values, query)
-      val got = edges.collect().sortBy(e => (e.i, e.j, e.w)).toSeq
-      val reference = Sketch.pairSketches(Sketch.pairStats(Sketch.segments(values, query)), query)
-      val (refEdges, refStats) = Dangoron.edges(reference, query)
-      val expect = refEdges.collect().sortBy(e => (e.i, e.j, e.w)).toSeq
-      assert(got === expect, s"beta=$beta")
-      assert(stats() === refStats(), s"beta=$beta")
+    import spark.implicits._
+    def panelOf(seed: Long, sids: Seq[Int]): Map[Int, Array[Double]] = {
+      val m = SparkTestData.panel(seed, sids.length, len)
+      sids.zip(m).toMap
     }
+    // Tsubasa.run shares the fused tile-and-sweep path, so it is checked
+    // alongside. Every case but the first spreads each series' rows over 7
+    // input partitions, so the tile tasks assemble each series from several
+    // chunks.
+    def straddledOf(seed: Long, sids: Seq[Int]) =
+      SparkTestData.toValuesDf(spark, panelOf(seed, sids)).repartition(7).cache()
+    val cases: Seq[(String, DataFrame, Double => SlidingQuery)] = Seq(
+      ("N=6", values, q),
+      ("N=6, rows over 7 partitions, non-zero query start", values.repartition(7).cache(),
+        beta => SlidingQuery(16L, 176L, windowLen = 48, step = 8, beta = beta, bwSize = 8)),
+      ("N=1", straddledOf(62L, Seq(0)), q),
+      ("N=2", straddledOf(63L, Seq(0, 1)), q),
+      ("N=13", straddledOf(64L, 0 until 13), q),
+      ("sids 3, 17, 42, 1001", straddledOf(65L, Seq(3, 17, 42, 1001)), q))
+    def sorted(edges: Dataset[Edge]) = edges.collect().sortBy(e => (e.i, e.j, e.w)).toSeq
+    cases.foreach { case (name, v, query) =>
+      val reference = Sketch.pairSketches(Sketch.pairStats(Sketch.segments(v, query(0.0))), query(0.0))
+        .collect().toSeq.toDS()
+      for (beta <- Seq(-1.0, 0.4, 0.7, 0.9)) {
+        val qb = query(beta)
+        val runs = Seq(
+          "Dangoron" -> (Dangoron.run(v, qb), Dangoron.edges(reference, qb)),
+          "Tsubasa" -> (Tsubasa.run(v, qb), Tsubasa.edges(reference, qb)))
+        runs.foreach { case (framework, ((edges, stats), (refEdges, refStats))) =>
+          assert(sorted(edges) === sorted(refEdges), s"$name, $framework, beta=$beta")
+          assert(stats() === refStats(), s"$name, $framework, beta=$beta")
+        }
+      }
+    }
+    cases.foreach(_._2.unpersist())
   }
 
   test("accumulators: computed + skipped = pairs × windows") {

@@ -4,6 +4,7 @@ import org.apache.spark.sql.{DataFrame, Dataset}
 import repro.{SparkSpec, SparkTestData, Oracle}
 import repro.naive.NaiveCorr
 import repro.parcorr.ParCorr
+import repro.tsubasa.Tsubasa
 
 class SketchSpec extends SparkSpec {
   import TestSeries._
@@ -13,12 +14,6 @@ class SketchSpec extends SparkSpec {
   private lazy val matrix = SparkTestData.panel(51L, n, len)
   private lazy val values = SparkTestData.toValuesDf(spark, matrix)
   private lazy val q = SlidingQuery(0L, len.toLong, windowLen = 32, step = 8, beta = 0.5, bwSize = 8)
-
-  /** Long-format rows of series keyed by their sids. */
-  private def valuesOf(bySid: Map[Int, Array[Double]]): DataFrame = {
-    import spark.implicits._
-    bySid.toSeq.flatMap { case (sid, xs) => xs.indices.map(t => (sid, t.toLong, xs(t))) }.toDF("sid", "t", "v")
-  }
 
   /** The sketch through the segment / self-join / regroup stages. */
   private def referenceSketches(v: DataFrame, query: SlidingQuery): Dataset[PairSketch] =
@@ -118,15 +113,21 @@ class SketchSpec extends SparkSpec {
       }
     }
     // The tiled build, at the cluster's block count and at a few others,
-    // equals the reference path bit for bit on every array of every pair.
+    // equals the reference path bit for bit on every array of every pair,
+    // also when each series' rows are spread over several input partitions
+    // and so reach the tile tasks as several chunks.
     def arrays(sk: PairSketch) = Seq(sk.meanX, sk.m2x, sk.meanY, sk.m2y, sk.cp)
     buildCases.foreach { case (name, bySid, query) =>
-      val v = valuesOf(bySid)
+      val v = SparkTestData.toValuesDf(spark, bySid)
       val nPairs = bySid.size * (bySid.size - 1) / 2
       val ref = referenceSketches(v, query).collect().map(sk => (sk.i, sk.j) -> sk).toMap
       assert(ref.size === nPairs, name)
+      val straddled = v.repartition(7).cache()
       val builds = ("cluster blocks" -> Sketch.build(v, query)) +:
-        Seq(1, 3, 7).map(nb => s"nb=$nb" -> Sketch.tiled(v, query, nb))
+        ("cluster blocks, rows over 7 partitions" -> Sketch.build(straddled, query)) +:
+        Seq(1, 3, 7).flatMap(nb => Seq(
+          s"nb=$nb" -> Sketch.tiled(v, query, nb),
+          s"nb=$nb, rows over 7 partitions" -> Sketch.tiled(straddled, query, nb)))
       builds.foreach { case (how, ds) =>
         val sks = ds.collect()
         assert(sks.length === nPairs, s"$name, $how")
@@ -143,6 +144,7 @@ class SketchSpec extends SparkSpec {
           }
         }
       }
+      straddled.unpersist()
     }
   }
 
@@ -157,7 +159,7 @@ class SketchSpec extends SparkSpec {
       (name, bySid, query) <- buildCases
       nb <- Seq(clusterNb, 3, 7)
     } {
-      val v = valuesOf(bySid)
+      val v = SparkTestData.toValuesDf(spark, bySid)
       val ds = if (nb == clusterNb) Sketch.build(v, query) else Sketch.tiled(v, query, nb)
       val parts = ds.rdd.mapPartitions(it => Iterator(it.map(sk => (sk.i, sk.j)).toVector)).collect()
       val blockPairs = Sketch.blockPairs(nb)
@@ -214,11 +216,18 @@ class SketchSpec extends SparkSpec {
   }
 
   test("seriesArrays consumers reject a repeated or missing t, naming sid and t") {
+    import org.apache.spark.sql.functions.spark_partition_id
     // sid 0 loses t=13 and repeats t=14, so its basic window 8..15 still holds 8 rows.
+    // The union puts the repeated row in a different input partition, and so a different chunk, from the original.
     val repeated = values.where("NOT (sid = 0 AND t = 13)").union(values.where("sid = 0 AND t = 14"))
-    val missing = values.where("NOT (sid = 2 AND t = 40)")
+    val t14Parts = repeated.where("sid = 0 AND t = 14").select(spark_partition_id()).collect().map(_.getInt(0))
+    assert(t14Parts.length === 2 && t14Parts.distinct.length === 2, t14Parts.mkString(","))
+    // sid 2's remaining rows are spread over several input partitions.
+    val missing = values.repartition(7).where("NOT (sid = 2 AND t = 40)")
     val consumers: Seq[(String, DataFrame => Unit)] = Seq(
       "Sketch.build" -> (v => Sketch.build(v, q).collect()),
+      "Dangoron.run" -> (v => Dangoron.run(v, q)._1.collect()),
+      "Tsubasa.run" -> (v => Tsubasa.run(v, q)._1.collect()),
       "NaiveCorr.edges" -> (v => NaiveCorr.edges(v, q).collect()),
       "ParCorr.run" -> (v => ParCorr.run(v, q).collect()))
     consumers.foreach { case (name, consume) =>

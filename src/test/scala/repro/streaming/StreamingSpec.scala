@@ -113,6 +113,18 @@ class StreamingSpec extends SparkSpec {
     }
   }
 
+  test("a sid outside 0 until nSeries is rejected, naming the sid and nSeries") {
+    val driver = new StreamingCorrelation.StreamingDangoron(spark, n, q)
+    Seq(-1, n, n + 7).foreach { sid =>
+      val ex = intercept[IllegalArgumentException] {
+        driver.ingest(Array((0, 0L, 1.0), (sid, 0L, 1.0)))
+      }
+      assert(ex.getMessage.contains(s"sid=$sid is outside 0 until nSeries=$n"), ex.getMessage)
+    }
+    // Nothing of a rejected batch was buffered: sid 0 still expects t=0.
+    driver.ingest(Array((0, 0L, 1.0)))
+  }
+
   test("frontier waits for the slowest series") {
     val driver = new StreamingCorrelation.StreamingDangoron(spark, n, q)
     // all series except sid=0 get plenty of data; sid=0 gets none
